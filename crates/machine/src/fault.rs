@@ -33,7 +33,7 @@
 
 use crate::fabric::Fabric;
 use crate::message::{ProcId, Tag, Word};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// Scale of the per-mille probability knobs: a knob value of
 /// [`PM_SCALE`] means "always".
@@ -111,10 +111,13 @@ pub struct FaultPlan {
     pub reorder_pm: u32,
     /// Fault budget per `(src, dst, tag)` triple (`u32::MAX` = unlimited).
     pub max_faults_per_triple: u32,
-    /// Triples whose every transmission is dropped, budget or not — the
-    /// way to force a [`MachineError::RetriesExhausted`](crate::MachineError)
-    /// outcome deterministically.
-    pub black_holes: BTreeSet<(ProcId, ProcId, Tag)>,
+    /// Black-holed triples, each with the index of its first swallowed
+    /// transmission: from there on every transmission is dropped, budget
+    /// or not. Index 0 is the way to force a
+    /// [`MachineError::RetriesExhausted`](crate::MachineError) outcome
+    /// deterministically; a later index lets the stream's first
+    /// transmissions through and loses everything after them.
+    pub black_holes: BTreeMap<(ProcId, ProcId, Tag), u64>,
     /// Processor stall events.
     pub stalls: Vec<Stall>,
     /// Scripted processor crash events.
@@ -141,7 +144,7 @@ impl FaultPlan {
             delay_cycles: 0,
             reorder_pm: 0,
             max_faults_per_triple: u32::MAX,
-            black_holes: BTreeSet::new(),
+            black_holes: BTreeMap::new(),
             stalls: Vec::new(),
             crashes: Vec::new(),
             crash_pm: 0,
@@ -221,9 +224,25 @@ impl FaultPlan {
     }
 
     /// Drop *every* transmission on the given triple, ignoring the budget.
-    pub fn with_black_hole(mut self, src: ProcId, dst: ProcId, tag: Tag) -> Self {
-        self.black_holes.insert((src, dst, tag));
+    pub fn with_black_hole(self, src: ProcId, dst: ProcId, tag: Tag) -> Self {
+        self.with_black_hole_from(src, dst, tag, 0)
+    }
+
+    /// Drop every transmission on the given triple from its `first`-th
+    /// (0-based) on, ignoring the budget; earlier ones take the plan's
+    /// ordinary decisions. Of two calls for one triple the earlier start
+    /// wins.
+    pub fn with_black_hole_from(mut self, src: ProcId, dst: ProcId, tag: Tag, first: u64) -> Self {
+        let start = self.black_holes.entry((src, dst, tag)).or_insert(first);
+        *start = (*start).min(first);
         self
+    }
+
+    /// Is the `k`-th transmission on `(src, dst, tag)` black-holed?
+    fn swallowed(&self, src: ProcId, dst: ProcId, tag: Tag, k: u64) -> bool {
+        self.black_holes
+            .get(&(src, dst, tag))
+            .is_some_and(|&first| k >= first)
     }
 
     /// Add a processor stall event.
@@ -286,7 +305,7 @@ impl FaultPlan {
     /// The decision for the `k`-th transmission on `(src, dst, tag)` —
     /// a pure function, independent of any mutable state.
     pub fn decide(&self, src: ProcId, dst: ProcId, tag: Tag, k: u64) -> FaultDecision {
-        if self.black_holes.contains(&(src, dst, tag)) {
+        if self.swallowed(src, dst, tag, k) {
             return FaultDecision::Drop;
         }
         let mut x = splitmix(
@@ -467,8 +486,7 @@ impl FaultState {
         let index = *k;
         *k += 1;
         let mut d = self.plan.decide(src, dst, tag, index);
-        let black_hole = self.plan.black_holes.contains(&key);
-        if !black_hole {
+        if !self.plan.swallowed(src, dst, tag, index) {
             let spent = self.spent.entry(key).or_insert(0);
             if d != FaultDecision::Deliver {
                 if *spent >= self.plan.max_faults_per_triple {
@@ -709,6 +727,23 @@ mod tests {
             st.next_decision(ProcId(0), ProcId(1), Tag(6)),
             FaultDecision::Deliver
         );
+    }
+
+    #[test]
+    fn late_black_hole_passes_the_first_transmissions() {
+        let plan = FaultPlan::seeded(0)
+            .with_fault_budget(0)
+            .with_black_hole_from(ProcId(0), ProcId(1), Tag(5), 2);
+        let mut st = FaultState::new(plan.clone());
+        let got: Vec<FaultDecision> = (0..5)
+            .map(|_| st.next_decision(ProcId(0), ProcId(1), Tag(5)))
+            .collect();
+        use FaultDecision::{Deliver, Drop};
+        assert_eq!(got, [Deliver, Deliver, Drop, Drop, Drop]);
+        assert!(!plan.is_none());
+        // An earlier start for the same triple widens the hole.
+        let wider = plan.with_black_hole(ProcId(0), ProcId(1), Tag(5));
+        assert_eq!(wider.decide(ProcId(0), ProcId(1), Tag(5), 0), Drop);
     }
 
     #[test]

@@ -631,8 +631,8 @@ impl Scheduler {
                 // held as its replay suffix are dead weight, and if the
                 // peer's final live ack was dropped nothing else will ever
                 // retire them. Retiring them here mirrors the threaded
-                // backend, where a finished peer's channel hang-up clears
-                // the sender's window.
+                // backend, which retires such a window as soon as its
+                // peer posts that it lingers.
                 let mut retired = false;
                 for rp in rel.procs.iter_mut() {
                     for (&(dst, _), chan) in rp.senders.iter_mut() {

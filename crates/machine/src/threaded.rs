@@ -98,12 +98,34 @@ impl Backend {
 /// reporting a timeout.
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Peer is executing (or lingering): frames to it will be drained.
+/// Peer is executing its program: frames to it will be drained.
 const PEER_RUNNING: u8 = 0;
-/// Peer completed normally — its program-level receives are all done.
-const PEER_FINISHED: u8 = 1;
+/// Peer completed its program and lingers in the reliable protocol: it
+/// still drains, re-acks and retransmits, but it will neither crash nor
+/// consume another program-level receive.
+const PEER_LINGERING: u8 = 1;
+/// Peer's thread completed normally — its program-level receives and its
+/// linger are all done.
+const PEER_FINISHED: u8 = 2;
 /// Peer's thread terminated abnormally (panic or error).
-const PEER_DEAD: u8 = 2;
+const PEER_DEAD: u8 = 3;
+
+/// Has the thread posting `st` exited, so nobody drains its rings again?
+fn exited(st: u8) -> bool {
+    st == PEER_FINISHED || st == PEER_DEAD
+}
+
+/// Post `st` as processor `me`'s status, bump the epoch, and wake every
+/// parked peer. The status store is `SeqCst` and precedes the bells, so a
+/// peer that either observes the new status or is woken by the ring sees
+/// every frame `me` published beforehand.
+fn announce(status: &[AtomicU8], epoch: &AtomicU64, bells: &[Doorbell], me: usize, st: u8) {
+    status[me].store(st, Ordering::SeqCst);
+    epoch.fetch_add(1, Ordering::SeqCst);
+    for bell in bells {
+        bell.ring();
+    }
+}
 
 /// `base + d`, saturating at a far-future instant instead of panicking
 /// when a pathological `Duration` (e.g. `Duration::MAX` standing in for
@@ -167,16 +189,8 @@ struct StatusGuard {
 }
 
 impl StatusGuard {
-    /// Post `st`, bump the epoch, and wake every parked peer. The status
-    /// store is `SeqCst` and precedes the bells, so a peer that either
-    /// observes the new status or is woken by the ring sees every frame
-    /// this thread published beforehand.
     fn announce(&self, st: u8) {
-        self.status[self.me].store(st, Ordering::SeqCst);
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        for bell in self.bells.iter() {
-            bell.ring();
-        }
+        announce(&self.status, &self.epoch, &self.bells, self.me, st);
     }
 
     fn finish(&mut self) {
@@ -316,7 +330,7 @@ pub struct Endpoint {
     /// rung after publishing frames for them.
     bells: Arc<Vec<Doorbell>>,
     /// Shared liveness board: `status[q]` is `PEER_RUNNING`,
-    /// `PEER_FINISHED`, or `PEER_DEAD`.
+    /// `PEER_LINGERING`, `PEER_FINISHED`, or `PEER_DEAD`.
     status: Arc<Vec<AtomicU8>>,
     /// Bumped on every status transition; parks re-check it so no
     /// transition is ever slept through.
@@ -446,7 +460,7 @@ impl Endpoint {
     /// dies — a half-written frame is harmless because nobody reads
     /// that ring again.
     fn ring_send(&mut self, dst: ProcId, tag: Tag, arrives_at: Time, payload: &[Word]) {
-        if self.status[dst.0].load(Ordering::SeqCst) != PEER_RUNNING {
+        if exited(self.status[dst.0].load(Ordering::SeqCst)) {
             return;
         }
         let words = payload.len() as u64;
@@ -470,7 +484,7 @@ impl Endpoint {
             }
             self.bells[dst.0].ring();
             self.drain();
-            if self.status[dst.0].load(Ordering::SeqCst) != PEER_RUNNING {
+            if exited(self.status[dst.0].load(Ordering::SeqCst)) {
                 return false;
             }
             spins += 1;
@@ -628,7 +642,8 @@ impl Endpoint {
                         .senders
                         .get_mut(&(dst, tag))
                         .expect("chan exists: key came from the map");
-                    if self.status[dst.0].load(Ordering::SeqCst) != PEER_RUNNING {
+                    let st = self.status[dst.0].load(Ordering::SeqCst);
+                    if exited(st) {
                         // The peer's thread exited. A *finished* peer can
                         // only do that after completing its program-level
                         // receives: our data got through and only the ack
@@ -641,6 +656,18 @@ impl Endpoint {
                         continue;
                     }
                     let delivered = chan.delivered;
+                    if st == PEER_LINGERING && chan.unacked.iter().all(|p| p.seq < delivered) {
+                        // The peer finished its program, so it can no
+                        // longer crash: frames it confirmed delivered are
+                        // held only as a crash-replay suffix, now dead
+                        // weight. If its final live ack was lost nothing
+                        // else retires them — they never retransmit — and
+                        // two peers lingering on each other would wait
+                        // forever. The simulator retires the same windows
+                        // once its finished peers go quiet.
+                        chan.unacked.clear();
+                        continue;
+                    }
                     if let Some(p) = chan.unacked.iter().find(|p| p.seq >= delivered) {
                         if p.deadline <= now && p.retries >= rel.cfg.max_retries {
                             // The oldest undelivered seq is exactly the
@@ -874,7 +901,10 @@ impl Endpoint {
     /// retransmission deadline to wait out, and the old implementation
     /// busy-polled at 1 ms burning a core per lingering thread. The
     /// peer's eventual ack — or its status transition — rings our
-    /// doorbell, so the park only needs a coarse backstop deadline.
+    /// doorbell, so the park only needs a coarse backstop deadline. A
+    /// window of such frames to a peer that lingers too is retired (see
+    /// [`rel_service_timers`](Endpoint::rel_service_timers)): with both
+    /// final live acks lost, each would otherwise wait on the other.
     fn rel_linger(&mut self) -> Result<(), MachineError> {
         loop {
             let epoch = self.epoch.load(Ordering::SeqCst);
@@ -1476,6 +1506,7 @@ fn drive_loop<P: Process>(
         }
     }
     if ep.rel.is_some() {
+        announce(&ep.status, &ep.epoch, &ep.bells, me.0, PEER_LINGERING);
         ep.rel_linger()?;
     }
     Ok(())
@@ -2523,6 +2554,46 @@ mod tests {
             wakes < 25,
             "linger should park, not poll: {wakes} wakes across both threads"
         );
+    }
+
+    #[test]
+    fn peers_lingering_on_each_other_terminate_when_final_acks_are_lost() {
+        // Each processor sends one frame and receives the other's. The
+        // batch ack at receipt (transmission 0 of its ack triple) gets
+        // through, so each sender knows its frame was delivered; every
+        // later ack — above all the final live ack that would retire the
+        // frame — is lost. Both windows then hold delivered frames with no
+        // retransmission deadline, and each processor lingers on the
+        // other. The RTO is far beyond the run, so no keepalive or
+        // retransmission shifts the transmission indices.
+        let plan = FaultPlan::seeded(0)
+            .with_black_hole_from(ProcId(1), ProcId(0), ack_tag(Tag(0)), 1)
+            .with_black_hole_from(ProcId(0), ProcId(1), ack_tag(Tag(1)), 1);
+        let cfg = RelConfig {
+            rto_wall: Duration::from_secs(60),
+            ..RelConfig::default()
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut procs = vec![
+                Scripted::new(vec![Action::Send(1, 0, vec![1]), Action::Recv(1, 1)]),
+                Scripted::new(vec![Action::Send(0, 1, vec![2]), Action::Recv(0, 0)]),
+            ];
+            let report = ThreadedRunner::new(CostModel::zero())
+                .with_faults(plan, cfg)
+                .with_checkpoints(CheckpointCfg::every(1_000_000))
+                .run(&mut procs);
+            let received: Vec<_> = procs.into_iter().map(|p| p.received).collect();
+            let _ = tx.send((report, received));
+        });
+        let (report, received) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("two lingering processors must not wait on each other forever");
+        let report = report.unwrap();
+        assert_eq!(received, vec![vec![vec![2]], vec![vec![1]]]);
+        assert_eq!(report.undelivered, 0);
+        let drops = report.fault.expect("reliable run").injected.drops;
+        assert_eq!(drops, 2, "exactly the two final live acks are lost");
     }
 
     /// The sim recovery tests' stream pair, with computes interleaved on

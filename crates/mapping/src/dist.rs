@@ -192,6 +192,18 @@ fn ceil_div(a: usize, b: usize) -> usize {
     a.div_ceil(b)
 }
 
+/// Block number of zero-based index `z`; indices below the array fall in
+/// the first block.
+fn block_of(z: i64, block: usize) -> usize {
+    z.max(0) as usize / block
+}
+
+/// Block-cyclic local position of zero-based index `z`:
+/// `b·(z div b·S) + z mod b + 1`.
+fn block_cyclic_local(z: i64, b: i64, s: i64) -> i64 {
+    b * z.div_euclid(b * s) + z.rem_euclid(b) + 1
+}
+
 impl DistInstance {
     /// Instantiate `dist` for a `rows × cols` array on `nprocs` processors.
     ///
@@ -259,18 +271,27 @@ impl DistInstance {
     }
 
     /// **Map**: the owner of element `(i, j)` (1-based global indices).
+    ///
+    /// Plain integer arithmetic per family; it computes the same function
+    /// as evaluating [`owner_expr`](Self::owner_expr) on `(i, j)`.
     pub fn owner(&self, i: i64, j: i64) -> OwnerSet {
-        if let Dist::ColumnAssigned { table } = &self.dist {
-            return OwnerSet::One(Self::assigned_owner(table, j));
-        }
-        let env = move |name: &str| match name {
-            "i" => i,
-            "j" => j,
-            other => panic!("unbound index variable {other}"),
-        };
-        self.owner_expr(&Affine::var("i"), &Affine::var("j"))
-            .expect("table assignments were handled above")
-            .eval(&env)
+        let s = self.nprocs;
+        OwnerSet::One(match &self.dist {
+            Dist::Replicated => return OwnerSet::All,
+            Dist::OnProcessor(p) => *p,
+            Dist::ColumnCyclic => (j - 1).rem_euclid(s as i64) as usize,
+            Dist::RowCyclic => (i - 1).rem_euclid(s as i64) as usize,
+            Dist::ColumnBlock => block_of(j - 1, self.col_panel()).min(s - 1),
+            Dist::RowBlock => block_of(i - 1, self.row_panel()).min(s - 1),
+            Dist::ColumnBlockCyclic { block } => block_of(j - 1, *block) % s,
+            Dist::RowBlockCyclic { block } => block_of(i - 1, *block) % s,
+            Dist::Block2d { prows, pcols } => {
+                let r = block_of(i - 1, ceil_div(self.rows, *prows)).min(prows - 1);
+                let c = block_of(j - 1, ceil_div(self.cols, *pcols)).min(pcols - 1);
+                r * pcols + c
+            }
+            Dist::ColumnAssigned { table } => Self::assigned_owner(table, j),
+        })
     }
 
     /// Symbolic **Map**: owner of `(i_expr, j_expr)`.
@@ -337,23 +358,36 @@ impl DistInstance {
 
     /// **Local**: position of global `(i, j)` within its owner's local
     /// array (1-based local indices).
+    ///
+    /// Plain integer arithmetic per family, like [`owner`](Self::owner);
+    /// it computes the same function as evaluating
+    /// [`local_expr`](Self::local_expr) on `(i, j)`. A table assignment
+    /// ranks column `j` among its owner's columns in O(table length).
     pub fn local(&self, i: i64, j: i64) -> (i64, i64) {
-        if let Dist::ColumnAssigned { table } = &self.dist {
-            let owner = Self::assigned_owner(table, j);
-            let rank = (1..j)
-                .filter(|c| Self::assigned_owner(table, *c) == owner)
-                .count() as i64;
-            return (i, rank + 1);
+        let s = self.nprocs as i64;
+        match &self.dist {
+            Dist::Replicated | Dist::OnProcessor(_) => (i, j),
+            Dist::ColumnCyclic => (i, (j - 1).div_euclid(s) + 1),
+            Dist::RowCyclic => ((i - 1).div_euclid(s) + 1, j),
+            Dist::ColumnBlock => (i, (j - 1).rem_euclid(self.col_panel() as i64) + 1),
+            Dist::RowBlock => ((i - 1).rem_euclid(self.row_panel() as i64) + 1, j),
+            Dist::ColumnBlockCyclic { block } => (i, block_cyclic_local(j - 1, *block as i64, s)),
+            Dist::RowBlockCyclic { block } => (block_cyclic_local(i - 1, *block as i64, s), j),
+            Dist::Block2d { prows, pcols } => (
+                (i - 1).rem_euclid(ceil_div(self.rows, *prows) as i64) + 1,
+                (j - 1).rem_euclid(ceil_div(self.cols, *pcols) as i64) + 1,
+            ),
+            Dist::ColumnAssigned { table } => {
+                // Columns before `j` are ⌊(j-1)/L⌋ whole passes over the
+                // table plus a prefix of (j-1) mod L entries.
+                let before = (j - 1).max(0) as usize;
+                let owner = Self::assigned_owner(table, j);
+                let count = |cells: &[usize]| cells.iter().filter(|&&p| p == owner).count();
+                let rank =
+                    before / table.len() * count(table) + count(&table[..before % table.len()]);
+                (i, rank as i64 + 1)
+            }
         }
-        let env = move |name: &str| match name {
-            "i" => i,
-            "j" => j,
-            other => panic!("unbound index variable {other}"),
-        };
-        let (li, lj) = self
-            .local_expr(&Affine::var("i"), &Affine::var("j"))
-            .expect("table assignments were handled above");
-        (li.eval(&env), lj.eval(&env))
     }
 
     /// Symbolic **Local**.
@@ -505,12 +539,14 @@ impl DistInstance {
                 (ceil_div(self.rows, *prows), ceil_div(self.cols, *pcols))
             }
             Dist::ColumnAssigned { table } => {
-                let owned_cols = |p: usize| {
-                    (1..=self.cols as i64)
-                        .filter(|c| Self::assigned_owner(table, *c) == p)
-                        .count()
-                };
-                let widest = (0..self.nprocs).map(owned_cols).max().unwrap_or(0);
+                // Every table entry covers cols/L columns, and the first
+                // cols mod L entries one more.
+                let (passes, rest) = (self.cols / table.len(), self.cols % table.len());
+                let mut owned = vec![0; self.nprocs];
+                for (k, &p) in table.iter().enumerate() {
+                    owned[p] += passes + usize::from(k < rest);
+                }
+                let widest = owned.into_iter().max().unwrap_or(0);
                 (self.rows, widest.max(1))
             }
         }

@@ -21,7 +21,11 @@
 //! expressions, and the mapping-equation solver ([`solve_for`]) that turns
 //! `owner(j) = p` into strided loop bounds — the step the paper describes
 //! as *"we set the equations in the evaluators equal to the processor name
-//! and solve for the loop variable"* (§3.2).
+//! and solve for the loop variable"* (§3.2). Code that already knows the
+//! indices — the VM, input loading, gather, the abstract interpreter —
+//! calls the numeric [`DistInstance::owner`]/[`DistInstance::local`]
+//! instead: the same functions as plain integer arithmetic, with no
+//! expression built per call.
 //!
 //! # Examples
 //!

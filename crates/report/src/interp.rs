@@ -666,7 +666,7 @@ impl<E: Events> Interp<'_, E> {
     /// Resolve a global array reference to its home `(owner, li, lj)`.
     fn global_element(&mut self, array: &str, idx: &[SExpr]) -> Option<(usize, i64, i64)> {
         let (i, j) = self.indices(idx)?;
-        let inst = self.arrays.get(array)?.clone()?;
+        let inst = self.arrays.get(array)?.as_ref()?;
         let home = match inst.owner(i, j) {
             OwnerSet::One(q) => q,
             // Replicated data is owned locally (VM rule).

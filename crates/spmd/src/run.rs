@@ -3,7 +3,7 @@
 use crate::ir::SpmdProgram;
 use crate::lower::lower;
 use crate::scalar::Scalar;
-use crate::vm::ProcVm;
+use crate::vm::{DistArray, ProcVm};
 use crate::SpmdError;
 use pdc_istructure::IMatrix;
 use pdc_machine::{
@@ -277,11 +277,12 @@ impl SpmdMachine {
     pub fn preload_array(&mut self, name: &str, dist: pdc_mapping::Dist, data: &IMatrix<Scalar>) {
         let n = self.vms.len();
         for (p, vm) in self.vms.iter_mut().enumerate() {
-            let mut arr = crate::vm::DistArray::alloc(dist.clone(), data.rows(), data.cols(), n);
-            for (i, j) in arr.inst.owned_cells(p).collect::<Vec<_>>() {
+            let mut arr = DistArray::alloc(dist.clone(), data.rows(), data.cols(), n);
+            let DistArray { inst, local } = &mut arr;
+            for (i, j) in inst.owned_cells(p) {
                 if let Some(v) = data.peek(i, j) {
-                    let (li, lj) = arr.inst.local(i, j);
-                    arr.local
+                    let (li, lj) = inst.local(i, j);
+                    local
                         .write(li, lj, *v)
                         .expect("fresh segment accepts first writes");
                 }
@@ -299,49 +300,48 @@ impl SpmdMachine {
 
     /// Reassemble distributed array `name` into a global matrix by
     /// applying the inverse of the Map/Local functions to every owner's
-    /// segment. Cells never written anywhere remain empty in the result.
+    /// segment: the owner's segment for a distributed cell, P0's copy for
+    /// a replicated one. Cells never written anywhere, or whose owner
+    /// never allocated the array, remain empty in the result.
     ///
     /// # Errors
     ///
     /// [`SpmdError::Gather`] if no processor allocated `name`, or if the
-    /// owners' segments disagree on extents.
+    /// segments disagree on extents or on the distribution.
     pub fn gather(&self, name: &str) -> Result<IMatrix<Scalar>, SpmdError> {
-        let mut extents: Option<(usize, usize)> = None;
-        for vm in &self.vms {
-            if let Some(a) = vm.array(name) {
-                let e = a.inst.extents();
-                match extents {
-                    None => extents = Some(e),
-                    Some(prev) if prev != e => {
-                        return Err(SpmdError::Gather {
-                            message: format!(
-                                "array `{name}` has inconsistent extents {prev:?} vs {e:?}"
-                            ),
-                        })
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        let Some((rows, cols)) = extents else {
+        let segments: Vec<Option<&DistArray>> = self.vms.iter().map(|vm| vm.array(name)).collect();
+        let mut allocated = segments.iter().flatten();
+        let Some(first) = allocated.next() else {
             return Err(SpmdError::Gather {
                 message: format!("array `{name}` was never allocated"),
             });
         };
+        let inst = &first.inst;
+        for a in allocated {
+            let (prev, e) = (inst.extents(), a.inst.extents());
+            let message = if prev != e {
+                format!("array `{name}` has inconsistent extents {prev:?} vs {e:?}")
+            } else if a.inst != *inst {
+                format!(
+                    "array `{name}` has inconsistent distributions {} vs {}",
+                    inst.dist(),
+                    a.inst.dist()
+                )
+            } else {
+                continue;
+            };
+            return Err(SpmdError::Gather { message });
+        }
+        let (rows, cols) = inst.extents();
         let mut out = IMatrix::new(rows, cols);
         for i in 1..=rows as i64 {
             for j in 1..=cols as i64 {
-                // Find the owning processor's segment.
-                let owner = self.vms.iter().enumerate().find_map(|(p, vm)| {
-                    let a = vm.array(name)?;
-                    match a.inst.owner(i, j) {
-                        OwnerSet::One(q) if q == p => Some((p, a)),
-                        OwnerSet::All if p == 0 => Some((p, a)),
-                        _ => None,
-                    }
-                });
-                let Some((_, a)) = owner else { continue };
-                let (li, lj) = a.inst.local(i, j);
+                let home = match inst.owner(i, j) {
+                    OwnerSet::One(q) => q,
+                    OwnerSet::All => 0,
+                };
+                let Some(a) = segments[home] else { continue };
+                let (li, lj) = inst.local(i, j);
                 if let Some(v) = a.local.peek(li, lj) {
                     out.write(i, j, *v).expect("fresh gather target");
                 }
@@ -408,6 +408,123 @@ mod tests {
                 assert_eq!(g.peek(i, j), Some(&Scalar::Int(i * 10 + j)));
             }
         }
+    }
+
+    /// Allocate `rows × cols` array `A` under `dist`, then write
+    /// `100·me + 10·i + j` into every cell this processor owns.
+    fn stamp_owned_cells(dist: Dist, rows: i64, cols: i64) -> Vec<SStmt> {
+        let for_ = |var: &str, hi: i64, body: Vec<SStmt>| SStmt::For {
+            var: var.into(),
+            lo: SExpr::int(1),
+            hi: SExpr::int(hi),
+            step: SExpr::int(1),
+            body,
+        };
+        let idx = || vec![SExpr::var("i"), SExpr::var("j")];
+        let stamp = SStmt::If {
+            cond: SExpr::OwnerOf {
+                array: "A".into(),
+                idx: idx(),
+            }
+            .eq(SExpr::my_node()),
+            then: vec![SStmt::AWriteGlobal {
+                array: "A".into(),
+                idx: idx(),
+                value: SExpr::my_node()
+                    .mul(SExpr::int(100))
+                    .add(SExpr::var("i").mul(SExpr::int(10)))
+                    .add(SExpr::var("j")),
+            }],
+            els: vec![],
+        };
+        vec![
+            SStmt::AllocDist {
+                array: "A".into(),
+                rows: SExpr::int(rows),
+                cols: SExpr::int(cols),
+                dist,
+            },
+            for_("i", rows, vec![for_("j", cols, vec![stamp])]),
+        ]
+    }
+
+    fn gather_a(prog: &SpmdProgram) -> Result<IMatrix<Scalar>, SpmdError> {
+        let mut m = SpmdMachine::new(prog, CostModel::zero()).unwrap();
+        m.run().unwrap();
+        m.gather("A")
+    }
+
+    #[test]
+    fn gather_takes_p0_copy_of_replicated_array() {
+        // Every processor writes its own stamp into its full copy.
+        let prog = SpmdProgram::uniform(3, stamp_owned_cells(Dist::Replicated, 3, 2));
+        let g = gather_a(&prog).unwrap();
+        for i in 1..=3 {
+            for j in 1..=2 {
+                assert_eq!(g.peek(i, j), Some(&Scalar::Int(i * 10 + j)));
+            }
+        }
+    }
+
+    #[test]
+    fn gather_reassembles_grid_and_row_block_cyclic_at_s4() {
+        for (dist, rows, cols) in [
+            (Dist::Block2d { prows: 2, pcols: 2 }, 5, 7),
+            (Dist::RowBlockCyclic { block: 3 }, 11, 4),
+        ] {
+            let prog = SpmdProgram::uniform(4, stamp_owned_cells(dist.clone(), rows, cols));
+            let g = gather_a(&prog).unwrap();
+            let inst =
+                pdc_mapping::DistInstance::new(dist.clone(), rows as usize, cols as usize, 4);
+            assert_eq!((g.rows(), g.cols()), (rows as usize, cols as usize));
+            for i in 1..=rows {
+                for j in 1..=cols {
+                    let OwnerSet::One(p) = inst.owner(i, j) else {
+                        panic!("{dist} is not replicated")
+                    };
+                    let want = 100 * p as i64 + 10 * i + j;
+                    assert_eq!(g.peek(i, j), Some(&Scalar::Int(want)), "{dist} ({i},{j})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_skips_cells_of_processors_without_the_array() {
+        // P1 never allocates: its columns (2 and 4) stay empty.
+        let prog = SpmdProgram::new(vec![
+            stamp_owned_cells(Dist::ColumnCyclic, 2, 4),
+            Vec::new(),
+        ]);
+        let g = gather_a(&prog).unwrap();
+        for i in 1..=2 {
+            for j in 1..=4 {
+                let want = (j % 2 == 1).then_some(Scalar::Int(i * 10 + j));
+                assert_eq!(g.peek(i, j).copied(), want, "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn gather_rejects_segments_that_disagree() {
+        let prog = SpmdProgram::new(vec![
+            stamp_owned_cells(Dist::ColumnCyclic, 2, 4),
+            stamp_owned_cells(Dist::ColumnCyclic, 3, 4),
+        ]);
+        let err = gather_a(&prog).unwrap_err().to_string();
+        assert!(
+            err.contains("array `A` has inconsistent extents (2, 4) vs (3, 4)"),
+            "got: {err}"
+        );
+        let prog = SpmdProgram::new(vec![
+            stamp_owned_cells(Dist::ColumnCyclic, 2, 4),
+            stamp_owned_cells(Dist::ColumnBlock, 2, 4),
+        ]);
+        let err = gather_a(&prog).unwrap_err().to_string();
+        assert!(
+            err.contains("array `A` has inconsistent distributions column-cyclic vs column-block"),
+            "got: {err}"
+        );
     }
 
     #[test]

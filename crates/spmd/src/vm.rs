@@ -157,37 +157,27 @@ impl ProcVm {
     }
 
     fn array_at(&mut self, me: ProcId, slot: u32) -> Result<&mut DistArray, MachineError> {
-        let name = self
-            .code
-            .syms
-            .arrays
-            .get(slot as usize)
-            .cloned()
-            .unwrap_or_default();
         match &mut self.arrays[slot as usize] {
             Some(a) => Ok(a),
-            None => Err(MachineError::ProcessFault {
-                proc: me,
-                message: format!("array `{name}` used before allocation"),
-            }),
+            None => Err(unallocated(me, "array", &self.code.syms.arrays, slot)),
         }
     }
 
     fn buf_at(&mut self, me: ProcId, slot: u32) -> Result<&mut Vec<Scalar>, MachineError> {
-        let name = self
-            .code
-            .syms
-            .bufs
-            .get(slot as usize)
-            .cloned()
-            .unwrap_or_default();
         match &mut self.bufs[slot as usize] {
             Some(b) => Ok(b),
-            None => Err(MachineError::ProcessFault {
-                proc: me,
-                message: format!("buffer `{name}` used before allocation"),
-            }),
+            None => Err(unallocated(me, "buffer", &self.code.syms.bufs, slot)),
         }
+    }
+}
+
+/// The fault for touching the unallocated `kind` in `slot`; the symbol's
+/// name is looked up only here, off the access path.
+fn unallocated(me: ProcId, kind: &str, names: &[String], slot: u32) -> MachineError {
+    let name = names.get(slot as usize).map_or("", String::as_str);
+    MachineError::ProcessFault {
+        proc: me,
+        message: format!("{kind} `{name}` used before allocation"),
     }
 }
 
@@ -1103,6 +1093,94 @@ mod tests {
         let mut machine = Machine::new(1, CostModel::zero());
         let err = vm.step(&mut machine, ProcId(0)).unwrap_err();
         assert!(err.to_string().contains("read before assignment"));
+    }
+
+    /// Step P0 of an `nprocs` machine through `body` until it faults.
+    fn fault_of(body: &[SStmt], nprocs: usize) -> String {
+        let mut vm = ProcVm::new(Arc::new(lower(body).unwrap()));
+        let mut machine = Machine::new(nprocs, CostModel::zero());
+        for _ in 0..100 {
+            match vm.step(&mut machine, ProcId(0)) {
+                Err(e) => return e.to_string(),
+                Ok(Step::Done) => panic!("finished without faulting"),
+                Ok(_) => {}
+            }
+        }
+        panic!("no fault within 100 steps")
+    }
+
+    #[test]
+    fn unallocated_array_access_faults_with_its_name() {
+        let idx = || vec![SExpr::int(1), SExpr::int(1)];
+        let read = SStmt::Let {
+            var: "x".into(),
+            value: SExpr::ARead {
+                array: "A".into(),
+                idx: idx(),
+            },
+        };
+        let write = SStmt::AWriteGlobal {
+            array: "A".into(),
+            idx: idx(),
+            value: SExpr::int(1),
+        };
+        for stmt in [read, write] {
+            let msg = fault_of(&[stmt], 1);
+            assert!(
+                msg.contains("array `A` used before allocation"),
+                "got: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn unallocated_buffer_access_faults_with_its_name() {
+        let read = SStmt::Let {
+            var: "x".into(),
+            value: SExpr::BufRead {
+                buf: "B".into(),
+                idx: Box::new(SExpr::int(0)),
+            },
+        };
+        let write = SStmt::BufWrite {
+            buf: "B".into(),
+            idx: SExpr::int(0),
+            value: SExpr::int(1),
+        };
+        for stmt in [read, write] {
+            let msg = fault_of(&[stmt], 1);
+            assert!(
+                msg.contains("buffer `B` used before allocation"),
+                "got: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn global_read_on_non_owner_names_the_element() {
+        // Column 2 of a column-cyclic array lives on P1, not P0.
+        let msg = fault_of(
+            &[
+                SStmt::AllocDist {
+                    array: "A".into(),
+                    rows: SExpr::int(2),
+                    cols: SExpr::int(2),
+                    dist: Dist::ColumnCyclic,
+                },
+                SStmt::Let {
+                    var: "x".into(),
+                    value: SExpr::AReadGlobal {
+                        array: "A".into(),
+                        idx: vec![SExpr::int(1), SExpr::int(2)],
+                    },
+                },
+            ],
+            2,
+        );
+        assert!(
+            msg.contains("global read of (1,2) on non-owner P0"),
+            "got: {msg}"
+        );
     }
 
     #[test]
