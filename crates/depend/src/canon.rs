@@ -35,27 +35,27 @@ pub enum Canon {
 }
 
 /// Normalize an expression; `None` if it contains reads, communication,
-/// or non-index arithmetic.
+/// non-index arithmetic, or a constant that overflows `i64` on folding.
 pub fn canon(e: &SExpr) -> Option<Canon> {
     match e {
         SExpr::Int(v) => Some(Canon::Aff(Affine::constant(*v))),
         SExpr::Var(v) => Some(Canon::Aff(Affine::var(v.clone()))),
-        SExpr::Un(SUnOp::Neg, a) => neg(canon(a)?),
+        SExpr::Un(SUnOp::Neg, a) => scale(-1, canon(a)?),
         SExpr::Bin(op, a, b) => {
             let (ca, cb) = (canon(a)?, canon(b)?);
             match op {
-                SBinOp::Add => Some(add(ca, cb)),
-                SBinOp::Sub => Some(add(ca, neg(cb)?)),
+                SBinOp::Add => add(ca, cb),
+                SBinOp::Sub => add(ca, scale(-1, cb)?),
                 SBinOp::Mul => match (ca, cb) {
                     (Canon::Aff(x), Canon::Aff(y)) => {
                         if let Some(k) = x.as_constant() {
-                            Some(Canon::Aff(y.scale(k)))
+                            y.checked_scale(k).map(Canon::Aff)
                         } else {
-                            y.as_constant().map(|k| Canon::Aff(x.scale(k)))
+                            x.checked_scale(y.as_constant()?).map(Canon::Aff)
                         }
                     }
                     (Canon::Aff(x), other) | (other, Canon::Aff(x)) => {
-                        x.as_constant().map(|k| scale(k, other))
+                        scale(x.as_constant()?, other)
                     }
                     _ => None,
                 },
@@ -86,31 +86,28 @@ pub fn canon(e: &SExpr) -> Option<Canon> {
     }
 }
 
-fn neg(c: Canon) -> Option<Canon> {
-    match c {
-        Canon::Aff(a) => Some(Canon::Aff(a.scale(-1))),
-        other => Some(scale(-1, other)),
-    }
-}
-
-fn scale(k: i64, c: Canon) -> Canon {
-    match c {
-        Canon::Aff(a) => Canon::Aff(a.scale(k)),
-        Canon::Scale(k2, inner) => Canon::Scale(k * k2, inner),
+/// `k · c`; `None` on overflow.
+fn scale(k: i64, c: Canon) -> Option<Canon> {
+    Some(match c {
+        Canon::Aff(a) => Canon::Aff(a.checked_scale(k)?),
+        Canon::Scale(k2, inner) => Canon::Scale(k.checked_mul(k2)?, inner),
         other => Canon::Scale(k, Box::new(other)),
-    }
+    })
 }
 
-fn add(a: Canon, b: Canon) -> Canon {
-    match (a, b) {
-        (Canon::Aff(x), Canon::Aff(y)) => Canon::Aff(x.add(&y)),
+/// `a + b`; `None` on overflow.
+fn add(a: Canon, b: Canon) -> Option<Canon> {
+    Some(match (a, b) {
+        (Canon::Aff(x), Canon::Aff(y)) => Canon::Aff(x.checked_add(&y)?),
         // Keep affine accumulating on the left for canonical shape.
         (Canon::Add(l, r), y) => match (*l, y) {
-            (Canon::Aff(x), Canon::Aff(y2)) => Canon::Add(Box::new(Canon::Aff(x.add(&y2))), r),
+            (Canon::Aff(x), Canon::Aff(y2)) => {
+                Canon::Add(Box::new(Canon::Aff(x.checked_add(&y2)?)), r)
+            }
             (l2, y2) => Canon::Add(Box::new(Canon::Add(Box::new(l2), r)), Box::new(y2)),
         },
         (x, y) => Canon::Add(Box::new(x), Box::new(y)),
-    }
+    })
 }
 
 /// Substitute `v := v + delta` throughout.
@@ -286,6 +283,25 @@ mod tests {
         let a = j().add(SExpr::int(1)).sub(SExpr::int(2));
         let b = j().sub(SExpr::int(1));
         assert!(canon_eq(&a, &b));
+    }
+
+    #[test]
+    fn canon_declines_to_fold_overflowing_constants() {
+        let min = || SExpr::int(i64::MIN);
+        for e in [
+            SExpr::Un(SUnOp::Neg, Box::new(min())),
+            SExpr::int(0).sub(min()),
+            SExpr::int(i64::MAX).add(SExpr::int(1)),
+            j().mul(SExpr::int(i64::MAX)).mul(SExpr::int(2)),
+            SExpr::int(-1).mul(j().idiv(SExpr::int(2)).mul(min())),
+        ] {
+            assert_eq!(canon(&e), None, "{e:?}");
+        }
+        // Still folds right up to the edge.
+        assert_eq!(
+            canon(&SExpr::int(i64::MAX - 1).add(SExpr::int(1))),
+            Some(Canon::Aff(Affine::constant(i64::MAX)))
+        );
     }
 
     #[test]

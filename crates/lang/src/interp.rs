@@ -331,19 +331,22 @@ impl<'a> Interpreter<'a> {
                 }
                 let l = self.eval(lhs, env)?;
                 let r = self.eval(rhs, env)?;
-                binary_op(*op, &l, &r).ok_or_else(|| LangError::Runtime {
-                    message: format!(
-                        "cannot apply `{op}` to {} and {}",
-                        l.type_name(),
-                        r.type_name()
-                    ),
+                binary_op(*op, &l, &r).map_err(|message| LangError::Runtime {
+                    message,
                     span: expr.span,
                 })
             }
             ExprKind::Unary { op, operand } => {
                 let v = self.eval(operand, env)?;
                 match (op, &v) {
-                    (UnOp::Neg, Value::Int(x)) => Ok(Value::Int(-x)),
+                    (UnOp::Neg, Value::Int(x)) => {
+                        x.checked_neg()
+                            .map(Value::Int)
+                            .ok_or_else(|| LangError::Runtime {
+                                message: "integer overflow".into(),
+                                span: expr.span,
+                            })
+                    }
                     (UnOp::Neg, Value::Float(x)) => Ok(Value::Float(-x)),
                     (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
                     (op, other) => Err(LangError::Runtime {
@@ -379,38 +382,39 @@ impl<'a> Interpreter<'a> {
     }
 }
 
-/// Apply a (non-short-circuit) binary operator; `None` on a type error.
-pub(crate) fn binary_op(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
+/// Apply a (non-short-circuit) binary operator; `Err` carries the
+/// runtime error message (type error, division by zero, overflow).
+pub(crate) fn binary_op(op: BinOp, l: &Value, r: &Value) -> Result<Value, String> {
     use BinOp::*;
     use Value::*;
+    let type_err = || {
+        format!(
+            "cannot apply `{op}` to {} and {}",
+            l.type_name(),
+            r.type_name()
+        )
+    };
     match op {
         Add | Sub | Mul | Div | FloorDiv | Mod | Min | Max => match (l, r) {
             (Int(a), Int(b)) => {
+                if matches!(op, Div | FloorDiv | Mod) && *b == 0 {
+                    return Err("division by zero".into());
+                }
                 let v = match op {
-                    Add => a.checked_add(*b)?,
-                    Sub => a.checked_sub(*b)?,
-                    Mul => a.checked_mul(*b)?,
-                    Div | FloorDiv => {
-                        if *b == 0 {
-                            return None;
-                        }
-                        a.div_euclid(*b)
-                    }
-                    Mod => {
-                        if *b == 0 {
-                            return None;
-                        }
-                        a.rem_euclid(*b)
-                    }
-                    Min => *a.min(b),
-                    Max => *a.max(b),
+                    Add => a.checked_add(*b),
+                    Sub => a.checked_sub(*b),
+                    Mul => a.checked_mul(*b),
+                    Div | FloorDiv => a.checked_div_euclid(*b),
+                    Mod => a.checked_rem_euclid(*b),
+                    Min => Some(*a.min(b)),
+                    Max => Some(*a.max(b)),
                     _ => unreachable!(),
                 };
-                Some(Int(v))
+                v.map(Int).ok_or_else(|| "integer overflow".into())
             }
             _ => {
-                let a = l.as_f64()?;
-                let b = r.as_f64()?;
+                let a = l.as_f64().ok_or_else(type_err)?;
+                let b = r.as_f64().ok_or_else(type_err)?;
                 let v = match op {
                     Add => a + b,
                     Sub => a - b,
@@ -422,23 +426,23 @@ pub(crate) fn binary_op(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
                     Max => a.max(b),
                     _ => unreachable!(),
                 };
-                Some(Float(v))
+                Ok(Float(v))
             }
         },
         Eq | Ne => {
             let eq = match (l, r) {
                 (Bool(a), Bool(b)) => a == b,
                 _ => {
-                    let a = l.as_f64()?;
-                    let b = r.as_f64()?;
+                    let a = l.as_f64().ok_or_else(type_err)?;
+                    let b = r.as_f64().ok_or_else(type_err)?;
                     a == b
                 }
             };
-            Some(Bool(if op == Eq { eq } else { !eq }))
+            Ok(Bool(if op == Eq { eq } else { !eq }))
         }
         Lt | Le | Gt | Ge => {
-            let a = l.as_f64()?;
-            let b = r.as_f64()?;
+            let a = l.as_f64().ok_or_else(type_err)?;
+            let b = r.as_f64().ok_or_else(type_err)?;
             let v = match op {
                 Lt => a < b,
                 Le => a <= b,
@@ -446,11 +450,11 @@ pub(crate) fn binary_op(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
                 Ge => a >= b,
                 _ => unreachable!(),
             };
-            Some(Bool(v))
+            Ok(Bool(v))
         }
         And | Or => match (l, r) {
-            (Bool(a), Bool(b)) => Some(Bool(if op == And { *a && *b } else { *a || *b })),
-            _ => None,
+            (Bool(a), Bool(b)) => Ok(Bool(if op == And { *a && *b } else { *a || *b })),
+            _ => Err(type_err()),
         },
     }
 }
@@ -680,7 +684,34 @@ mod tests {
     #[test]
     fn division_by_zero_reported() {
         let err = run("procedure f() { return 1 div 0; }", "f", &[]).unwrap_err();
-        assert!(err.to_string().contains("cannot apply"));
+        assert!(err.to_string().contains("division by zero"), "got: {err}");
+    }
+
+    /// `i64::MIN` from source: the literal 2^63 does not fit.
+    const MIN: &str = "(0 - 9223372036854775807 - 1)";
+
+    #[test]
+    fn min_int_div_and_mod_minus_one_overflow_instead_of_panicking() {
+        for op in ["div", "mod"] {
+            let src = format!("procedure f() {{ return {MIN} {op} (0 - 1); }}");
+            let err = run(&src, "f", &[]).unwrap_err();
+            assert!(
+                matches!(err, LangError::Runtime { .. })
+                    && err.to_string().contains("integer overflow"),
+                "{op}: got {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn negating_min_int_overflows_instead_of_panicking() {
+        let src = format!("procedure f() {{ let m = {MIN}; return -m; }}");
+        let err = run(&src, "f", &[]).unwrap_err();
+        assert!(
+            matches!(err, LangError::Runtime { .. })
+                && err.to_string().contains("integer overflow"),
+            "got: {err}"
+        );
     }
 
     #[test]

@@ -37,9 +37,18 @@ pub trait Fabric {
     /// The cost model in force.
     fn cost_model(&self) -> &CostModel;
 
+    /// Charge `ops` executed instructions costing `cycles` in total to
+    /// processor `p` (scaled by its slowdown factor), in one call: the
+    /// clock, op count and trace end up exactly as after `ops` separate
+    /// [`tick`](Fabric::tick)s summing to `cycles`, so a run of local
+    /// instructions crosses the fabric once.
+    fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64);
+
     /// Charge `cycles` of computation to processor `p` (scaled by its
     /// slowdown factor) and count one executed instruction.
-    fn tick(&mut self, p: ProcId, cycles: u64);
+    fn tick(&mut self, p: ProcId, cycles: u64) {
+        self.tick_n(p, cycles, 1);
+    }
 
     /// Asynchronous typed send (`csend`): charge the sender and hand the
     /// message to the transport stamped with its arrival time.
@@ -122,6 +131,10 @@ impl<F: Fabric + ?Sized> Fabric for &mut F {
 
     fn tick(&mut self, p: ProcId, cycles: u64) {
         (**self).tick(p, cycles);
+    }
+
+    fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
+        (**self).tick_n(p, cycles, ops);
     }
 
     fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {
@@ -307,10 +320,17 @@ impl Machine {
     /// Charge `cycles` of computation to processor `p` (scaled by its
     /// slowdown factor) and count one executed instruction.
     pub fn tick(&mut self, p: ProcId, cycles: u64) {
+        self.tick_n(p, cycles, 1);
+    }
+
+    /// Charge `ops` executed instructions costing `cycles` in total to
+    /// processor `p` (scaled by its slowdown factor): the same clock, op
+    /// count and trace as `ops` separate [`tick`](Machine::tick)s.
+    pub fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
         let before = self.clocks[p.0];
         self.clocks[p.0] = before.plus(cycles * self.slowdown[p.0]);
-        self.procs[p.0].ops += 1;
-        self.metrics.count(p.0, Ctr::Ops, 1);
+        self.procs[p.0].ops += ops;
+        self.metrics.count(p.0, Ctr::Ops, ops);
         self.trace.record_compute(p, before, self.clocks[p.0]);
     }
 
@@ -610,8 +630,8 @@ impl Fabric for Machine {
         Machine::cost_model(self)
     }
 
-    fn tick(&mut self, p: ProcId, cycles: u64) {
-        Machine::tick(self, p, cycles);
+    fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
+        Machine::tick_n(self, p, cycles, ops);
     }
 
     fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {

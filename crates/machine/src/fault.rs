@@ -427,18 +427,19 @@ impl FaultState {
         self.held.len()
     }
 
-    /// Account one charged instruction on `p` and return the extra stall
-    /// cycles (usually zero) to fold into the charge.
-    pub fn stall_cycles(&mut self, p: ProcId) -> u64 {
+    /// Account `ops` charged instructions on `p` and return the extra
+    /// stall cycles (usually zero) to fold into their charge: every stall
+    /// planned at one of those ops fires.
+    pub fn stall_cycles(&mut self, p: ProcId, ops: u64) -> u64 {
         let op = self.ops.entry(p).or_insert(0);
-        let at = *op;
-        *op += 1;
+        let charged = *op..*op + ops;
+        *op += ops;
         if self.plan.stalls.is_empty() {
             return 0;
         }
         let mut extra = 0;
         for (i, s) in self.plan.stalls.iter().enumerate() {
-            if !self.fired[i] && s.proc == p && s.at_op == at {
+            if !self.fired[i] && s.proc == p && charged.contains(&s.at_op) {
                 self.fired[i] = true;
                 extra += s.cycles;
                 self.counts.stalls += 1;
@@ -594,9 +595,9 @@ impl<F: Fabric> Fabric for FaultyFabric<F> {
         self.inner.cost_model()
     }
 
-    fn tick(&mut self, p: ProcId, cycles: u64) {
-        let extra = self.state.stall_cycles(p);
-        self.inner.tick(p, cycles + extra);
+    fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
+        let extra = self.state.stall_cycles(p, ops);
+        self.inner.tick_n(p, cycles + extra, ops);
     }
 
     fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {
@@ -809,7 +810,7 @@ mod tests {
         // Boundary before the op counter reaches 3: nothing.
         assert_eq!(st.take_crash(ProcId(1)), None);
         for _ in 0..5 {
-            st.stall_cycles(ProcId(1));
+            st.stall_cycles(ProcId(1), 1);
         }
         // Other processors never see it.
         assert_eq!(st.take_crash(ProcId(0)), None);
@@ -830,7 +831,7 @@ mod tests {
                 fired += 1;
             }
             let _ = op;
-            st.stall_cycles(ProcId(0));
+            st.stall_cycles(ProcId(0), 1);
         }
         assert_eq!(fired, 2, "budget caps probabilistic crashes");
         // Without a budget the rate knob alone injects nothing.

@@ -36,8 +36,10 @@ pub enum Step {
 /// processor).
 ///
 /// The process is called with a view of the machine fabric and its own
-/// processor id; it performs some bounded amount of work (typically one
-/// instruction), charging costs via [`Fabric::tick`] / [`Fabric::send`] /
+/// processor id; it performs some bounded amount of work (one
+/// instruction per [`step`](Process::step), up to `max` per
+/// [`run_slice`](Process::run_slice)), charging costs via
+/// [`Fabric::tick`] / [`Fabric::tick_n`] / [`Fabric::send`] /
 /// [`Fabric::try_recv`], and reports a [`Step`].
 ///
 /// # Errors
@@ -48,6 +50,25 @@ pub enum Step {
 pub trait Process {
     /// Execute one step on processor `me`.
     fn step(&mut self, fabric: &mut dyn Fabric, me: ProcId) -> Result<Step, MachineError>;
+
+    /// Execute up to `max` (≥ 1) steps on processor `me` and report the
+    /// last step's outcome with the number of steps taken — every step
+    /// counts, a blocked receive attempt and the final `Done` included.
+    /// The contract: the fabric sees exactly the sends, receives and
+    /// charged ops of the same number of [`step`](Process::step) calls,
+    /// and the slice ends after any step that is not [`Step::Ran`] or
+    /// that moved a message, so a driver's per-step checks (self-send,
+    /// fatal transport errors) still run right after the step that
+    /// could trip them. The default takes one step.
+    fn run_slice(
+        &mut self,
+        fabric: &mut dyn Fabric,
+        me: ProcId,
+        max: u64,
+    ) -> Result<(Step, u64), MachineError> {
+        let _ = max;
+        Ok((self.step(fabric, me)?, 1))
+    }
 
     /// Serialize the process's complete execution state — program
     /// counter, registers, memory, everything [`restore`](Process::restore)
@@ -201,15 +222,19 @@ impl Scheduler {
                             budget: self.step_budget,
                         });
                     }
-                    steps += 1;
-                    let step = processes[p].step(&mut *machine, me)?;
+                    let max = quantum.min(self.step_budget - steps);
+                    let (step, taken) = processes[p].run_slice(&mut *machine, me, max)?;
+                    steps += taken;
                     if let Some(sp) = machine.take_self_send() {
                         return Err(MachineError::SelfSend { proc: sp });
                     }
+                    // Every step of the slice but a final blocked attempt
+                    // or `Done` ran; only those use up quantum.
+                    let ran = if step == Step::Ran { taken } else { taken - 1 };
+                    quantum -= ran;
+                    progressed |= ran > 0;
                     match step {
                         Step::Ran => {
-                            progressed = true;
-                            quantum -= 1;
                             if quantum == 0 {
                                 break;
                             }
@@ -1450,9 +1475,9 @@ impl Fabric for ReliableView<'_> {
         self.m.cost_model()
     }
 
-    fn tick(&mut self, p: ProcId, cycles: u64) {
-        let extra = self.fault.stall_cycles(p);
-        self.m.tick(p, cycles + extra);
+    fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
+        let extra = self.fault.stall_cycles(p, ops);
+        self.m.tick_n(p, cycles + extra, ops);
     }
 
     fn send(&mut self, src: ProcId, dst: ProcId, tag: Tag, payload: Vec<Word>) {

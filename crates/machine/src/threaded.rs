@@ -1281,13 +1281,16 @@ impl Fabric for Endpoint {
         &self.cost
     }
 
-    fn tick(&mut self, p: ProcId, cycles: u64) {
+    fn tick_n(&mut self, p: ProcId, cycles: u64, ops: u64) {
         debug_assert_eq!(p, self.me, "an endpoint only drives its own clock");
-        let extra = self.rel.as_mut().map_or(0, |r| r.fault.stall_cycles(p));
+        let extra = self
+            .rel
+            .as_mut()
+            .map_or(0, |r| r.fault.stall_cycles(p, ops));
         let before = self.clock;
         self.clock = before.plus((cycles + extra) * self.slowdown);
-        self.stats.ops += 1;
-        self.metrics.count(p.0, Ctr::Ops, 1);
+        self.stats.ops += ops;
+        self.metrics.count(p.0, Ctr::Ops, ops);
         self.trace.record_compute(p, before, self.clock);
     }
 
@@ -1479,8 +1482,12 @@ fn drive_loop<P: Process>(
         if *steps >= budget {
             return Err(MachineError::StepBudgetExceeded { budget });
         }
-        *steps += 1;
-        let step = process.step(ep, me)?;
+        // Stalls, crash points and checkpoint pacing are placed per
+        // charged op, so the reliable/checkpoint layer takes one step at
+        // a time; otherwise a slice runs until it blocks or talks.
+        let max = if ep.rel.is_some() { 1 } else { budget - *steps };
+        let (step, taken) = process.run_slice(ep, me, max)?;
+        *steps += taken;
         if let Some(sp) = ep.take_self_send() {
             return Err(MachineError::SelfSend { proc: sp });
         }

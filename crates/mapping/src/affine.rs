@@ -78,6 +78,23 @@ impl Affine {
         }
     }
 
+    /// [`add`](Affine::add), or `None` when a coefficient or the
+    /// constant overflows `i64`.
+    pub fn checked_add(&self, other: &Affine) -> Option<Affine> {
+        let mut terms = self.terms.clone();
+        for (v, c) in &other.terms {
+            let e = terms.entry(v.clone()).or_insert(0);
+            *e = e.checked_add(*c)?;
+            if *e == 0 {
+                terms.remove(v);
+            }
+        }
+        Some(Affine {
+            terms,
+            constant: self.constant.checked_add(other.constant)?,
+        })
+    }
+
     /// Pointwise difference.
     pub fn sub(&self, other: &Affine) -> Affine {
         self.add(&other.scale(-1))
@@ -92,6 +109,22 @@ impl Affine {
             terms: self.terms.iter().map(|(v, c)| (v.clone(), c * k)).collect(),
             constant: self.constant * k,
         }
+    }
+
+    /// [`scale`](Affine::scale), or `None` when a coefficient or the
+    /// constant overflows `i64`.
+    pub fn checked_scale(&self, k: i64) -> Option<Affine> {
+        if k == 0 {
+            return Some(Affine::constant(0));
+        }
+        let mut terms = BTreeMap::new();
+        for (v, c) in &self.terms {
+            terms.insert(v.clone(), c.checked_mul(k)?);
+        }
+        Some(Affine {
+            terms,
+            constant: self.constant.checked_mul(k)?,
+        })
     }
 
     /// Add a constant offset.

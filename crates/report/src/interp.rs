@@ -74,8 +74,9 @@ pub enum RecvSink<'a> {
 /// per `Bin`/`Un` (global array accesses add two for the Map/Local
 /// evaluation), one `istruct` per `ARead`/`AWrite`, one `branch` per
 /// `JumpIfFalse` (loop tests and `if` guards) — so a timing sink can
-/// charge exactly what `instr_cost` charges at run time. Stack pushes
-/// and unconditional jumps cost zero cycles and are not counted.
+/// charge exactly what the VM's interpreter loop charges at run time.
+/// Stack pushes and unconditional jumps cost zero cycles and are not
+/// counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Work {
     /// `Bin`/`Un` instructions (`alu_op` cycles each).
@@ -768,8 +769,8 @@ pub fn binop(op: SBinOp, l: Abs, r: Abs) -> Abs {
                     Add => a.checked_add(b),
                     Sub => a.checked_sub(b),
                     Mul => a.checked_mul(b),
-                    Div | FloorDiv => (b != 0).then(|| a.div_euclid(b)),
-                    Mod => (b != 0).then(|| a.rem_euclid(b)),
+                    Div | FloorDiv => a.checked_div_euclid(b),
+                    Mod => a.checked_rem_euclid(b),
                     Min => Some(a.min(b)),
                     Max => Some(a.max(b)),
                     _ => unreachable!(),
@@ -851,6 +852,22 @@ mod tests {
         fn note(&mut self, _proc: usize, msg: String) {
             self.notes.push(msg);
         }
+    }
+
+    #[test]
+    fn min_int_div_and_mod_minus_one_fold_to_unknown() {
+        for op in [SBinOp::Div, SBinOp::FloorDiv, SBinOp::Mod] {
+            assert_eq!(
+                binop(op, Abs::Int(i64::MIN), Abs::Int(-1)),
+                Abs::Top,
+                "{op:?}"
+            );
+        }
+        assert_eq!(binop(SBinOp::Mod, Abs::Int(7), Abs::Int(0)), Abs::Top);
+        assert_eq!(
+            binop(SBinOp::FloorDiv, Abs::Int(-7), Abs::Int(2)),
+            Abs::Int(-4)
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! The simulator's timing is a pure max-plus recurrence over
 //! per-processor clocks (see `crates/machine/src/fabric.rs`):
 //!
-//! * local compute advances the executing clock by the summed
-//!   `instr_cost` of the instructions run;
+//! * local compute advances the executing clock by the summed cost of
+//!   the instructions run, as the VM charges it;
 //! * a send advances the sender by `send_cost(words)` and stamps the
 //!   message's arrival at `sender clock + flight`;
 //! * a receive sets the receiver to `max(receiver clock, arrival) +

@@ -1,7 +1,7 @@
 //! The per-processor virtual machine.
 
 use crate::ir::{SBinOp, SUnOp};
-use crate::lower::{Code, Instr};
+use crate::lower::{Code, Instr, Symbols};
 use crate::scalar::{decode_into, encode_into, Scalar};
 use pdc_istructure::IMatrix;
 use pdc_machine::{Ctr, Fabric, MachineError, ProcId, Process, Step, Tag, Word};
@@ -31,15 +31,24 @@ impl DistArray {
     }
 }
 
-/// One processor's interpreter state. Implements [`Process`] so the
-/// machine scheduler can drive it one instruction at a time; a blocking
-/// receive leaves the state untouched and reports itself blocked. The
-/// code is behind an [`Arc`] (and the rest of the state is plain data)
-/// so a `ProcVm` is `Send` and can run on its own OS thread under the
-/// threaded backend.
+/// One processor's interpreter. Implements [`Process`] so the machine
+/// drivers can run it in slices: straight-line bytecode runs back to
+/// back inside the VM, and the fabric is crossed once per slice to
+/// charge its cycles, plus once for the allocation, send or receive
+/// that ends it. A blocking receive leaves the state untouched and
+/// reports itself blocked. The code is behind an [`Arc`] (and the rest
+/// of the state is plain data) so a `ProcVm` is `Send` and can run on
+/// its own OS thread under the threaded backend.
 #[derive(Debug)]
 pub struct ProcVm {
     code: Arc<Code>,
+    st: State,
+}
+
+/// Everything of a [`ProcVm`] but its code, so the interpreter loop can
+/// borrow the instruction stream while it mutates the state.
+#[derive(Debug)]
+struct State {
     pc: usize,
     stack: Vec<Scalar>,
     locals: Vec<Option<Scalar>>,
@@ -62,38 +71,40 @@ impl ProcVm {
         let nb = code.syms.bufs.len();
         ProcVm {
             code,
-            pc: 0,
-            stack: Vec::with_capacity(16),
-            locals: vec![None; nv],
-            arrays: vec![None; na],
-            bufs: vec![None; nb],
-            msg_vals: Vec::new(),
-            recv_vals: Vec::new(),
-            wire: Vec::new(),
+            st: State {
+                pc: 0,
+                stack: Vec::with_capacity(16),
+                locals: vec![None; nv],
+                arrays: vec![None; na],
+                bufs: vec![None; nb],
+                msg_vals: Vec::new(),
+                recv_vals: Vec::new(),
+                wire: Vec::new(),
+            },
         }
     }
 
     /// The value of local variable `name`, if assigned.
     pub fn var(&self, name: &str) -> Option<Scalar> {
         let slot = self.code.syms.var_slot(name)?;
-        self.locals[slot as usize]
+        self.st.locals[slot as usize]
     }
 
     /// The distributed-array segment called `name`, if allocated.
     pub fn array(&self, name: &str) -> Option<&DistArray> {
         let slot = self.code.syms.array_slot(name)?;
-        self.arrays[slot as usize].as_ref()
+        self.st.arrays[slot as usize].as_ref()
     }
 
     /// The buffer called `name`, if allocated.
     pub fn buf(&self, name: &str) -> Option<&[Scalar]> {
         let slot = self.code.syms.buf_slot(name)?;
-        self.bufs[slot as usize].as_deref()
+        self.st.bufs[slot as usize].as_deref()
     }
 
     /// Has the program halted?
     pub fn is_done(&self) -> bool {
-        matches!(self.code.instrs.get(self.pc), Some(Instr::Halt) | None)
+        matches!(self.code.instrs.get(self.st.pc), Some(Instr::Halt) | None)
     }
 
     /// Install a pre-distributed array segment before execution (input
@@ -103,7 +114,7 @@ impl ProcVm {
     pub fn preload_array(&mut self, name: &str, arr: DistArray) -> bool {
         match self.code.syms.array_slot(name) {
             Some(slot) => {
-                self.arrays[slot as usize] = Some(arr);
+                self.st.arrays[slot as usize] = Some(arr);
                 true
             }
             None => false,
@@ -115,13 +126,15 @@ impl ProcVm {
     pub fn preset_var(&mut self, name: &str, value: Scalar) -> bool {
         match self.code.syms.var_slot(name) {
             Some(slot) => {
-                self.locals[slot as usize] = Some(value);
+                self.st.locals[slot as usize] = Some(value);
                 true
             }
             None => false,
         }
     }
+}
 
+impl State {
     fn fault(&self, me: ProcId, message: impl Into<String>) -> MachineError {
         MachineError::ProcessFault {
             proc: me,
@@ -156,17 +169,27 @@ impl ProcVm {
         }
     }
 
-    fn array_at(&mut self, me: ProcId, slot: u32) -> Result<&mut DistArray, MachineError> {
+    fn array_at(
+        &mut self,
+        syms: &Symbols,
+        me: ProcId,
+        slot: u32,
+    ) -> Result<&mut DistArray, MachineError> {
         match &mut self.arrays[slot as usize] {
             Some(a) => Ok(a),
-            None => Err(unallocated(me, "array", &self.code.syms.arrays, slot)),
+            None => Err(unallocated(me, "array", &syms.arrays, slot)),
         }
     }
 
-    fn buf_at(&mut self, me: ProcId, slot: u32) -> Result<&mut Vec<Scalar>, MachineError> {
+    fn buf_at(
+        &mut self,
+        syms: &Symbols,
+        me: ProcId,
+        slot: u32,
+    ) -> Result<&mut Vec<Scalar>, MachineError> {
         match &mut self.bufs[slot as usize] {
             Some(b) => Ok(b),
-            None => Err(unallocated(me, "buffer", &self.code.syms.bufs, slot)),
+            None => Err(unallocated(me, "buffer", &syms.bufs, slot)),
         }
     }
 }
@@ -178,6 +201,32 @@ fn unallocated(me: ProcId, kind: &str, names: &[String], slot: u32) -> MachineEr
     MachineError::ProcessFault {
         proc: me,
         message: format!("{kind} `{name}` used before allocation"),
+    }
+}
+
+/// The fault for an I-structure violation (double write, empty read,
+/// index out of range) on a local segment.
+fn data_fault(me: ProcId, e: impl ToString) -> MachineError {
+    MachineError::ProcessFault {
+        proc: me,
+        message: e.to_string(),
+    }
+}
+
+/// The fault for a global `access` to `(i, j)` on a processor that does
+/// not own the element.
+fn non_owner(me: ProcId, access: &str, i: i64, j: i64) -> MachineError {
+    MachineError::ProcessFault {
+        proc: me,
+        message: format!("global {access} of ({i},{j}) on non-owner {me}"),
+    }
+}
+
+/// The fault for buffer index `idx` outside `0..len`.
+fn buf_index_fault(me: ProcId, idx: i64, len: usize) -> MachineError {
+    MachineError::ProcessFault {
+        proc: me,
+        message: format!("buffer index {idx} out of bounds ({len})"),
     }
 }
 
@@ -317,13 +366,13 @@ impl<'a> Rd<'a> {
 impl ProcVm {
     fn snapshot_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_u64(&mut out, self.pc as u64);
-        put_u64(&mut out, self.stack.len() as u64);
-        for s in &self.stack {
+        put_u64(&mut out, self.st.pc as u64);
+        put_u64(&mut out, self.st.stack.len() as u64);
+        for s in &self.st.stack {
             put_scalar(&mut out, *s);
         }
-        put_u64(&mut out, self.locals.len() as u64);
-        for slot in &self.locals {
+        put_u64(&mut out, self.st.locals.len() as u64);
+        for slot in &self.st.locals {
             match slot {
                 None => out.push(0),
                 Some(v) => {
@@ -332,8 +381,8 @@ impl ProcVm {
                 }
             }
         }
-        put_u64(&mut out, self.bufs.len() as u64);
-        for slot in &self.bufs {
+        put_u64(&mut out, self.st.bufs.len() as u64);
+        for slot in &self.st.bufs {
             match slot {
                 None => out.push(0),
                 Some(b) => {
@@ -345,8 +394,8 @@ impl ProcVm {
                 }
             }
         }
-        put_u64(&mut out, self.arrays.len() as u64);
-        for slot in &self.arrays {
+        put_u64(&mut out, self.st.arrays.len() as u64);
+        for slot in &self.st.arrays {
             match slot {
                 None => out.push(0),
                 Some(a) => {
@@ -389,22 +438,22 @@ impl ProcVm {
         for _ in 0..n_stack {
             stack.push(r.scalar()?);
         }
-        if r.usize()? != self.locals.len() {
+        if r.usize()? != self.st.locals.len() {
             return None;
         }
-        let mut locals = Vec::with_capacity(self.locals.len());
-        for _ in 0..self.locals.len() {
+        let mut locals = Vec::with_capacity(self.st.locals.len());
+        for _ in 0..self.st.locals.len() {
             locals.push(match r.u8()? {
                 0 => None,
                 1 => Some(r.scalar()?),
                 _ => return None,
             });
         }
-        if r.usize()? != self.bufs.len() {
+        if r.usize()? != self.st.bufs.len() {
             return None;
         }
-        let mut bufs = Vec::with_capacity(self.bufs.len());
-        for _ in 0..self.bufs.len() {
+        let mut bufs = Vec::with_capacity(self.st.bufs.len());
+        for _ in 0..self.st.bufs.len() {
             bufs.push(match r.u8()? {
                 0 => None,
                 1 => {
@@ -421,11 +470,11 @@ impl ProcVm {
                 _ => return None,
             });
         }
-        if r.usize()? != self.arrays.len() {
+        if r.usize()? != self.st.arrays.len() {
             return None;
         }
-        let mut arrays = Vec::with_capacity(self.arrays.len());
-        for _ in 0..self.arrays.len() {
+        let mut arrays = Vec::with_capacity(self.st.arrays.len());
+        for _ in 0..self.st.arrays.len() {
             arrays.push(match r.u8()? {
                 0 => None,
                 1 => {
@@ -459,11 +508,11 @@ impl ProcVm {
         if r.at != state.len() {
             return None;
         }
-        self.pc = pc;
-        self.stack = stack;
-        self.locals = locals;
-        self.bufs = bufs;
-        self.arrays = arrays;
+        self.st.pc = pc;
+        self.st.stack = stack;
+        self.st.locals = locals;
+        self.st.bufs = bufs;
+        self.st.arrays = arrays;
         Some(())
     }
 }
@@ -484,27 +533,27 @@ fn note_scratch(machine: &mut dyn Fabric, me: ProcId, grew: bool) {
     }
 }
 
-/// Cycle cost of one instruction under the machine's cost model.
-/// Communication instructions charge through `send`/`try_recv` instead.
-fn instr_cost(instr: &Instr, c: &pdc_machine::CostModel) -> u64 {
-    match instr {
-        Instr::PushInt(_) | Instr::PushFloat(_) | Instr::PushBool(_) => 0,
-        Instr::PushMyNode | Instr::PushNProcs => 0,
-        Instr::Load(_) | Instr::Store(_) => c.mem_op,
-        Instr::Bin(_) | Instr::Un(_) => c.alu_op,
-        Instr::Jump(_) => 0,
-        Instr::JumpIfFalse(_) => c.loop_overhead,
-        Instr::AllocDist { .. } | Instr::AllocBuf { .. } => c.mem_op,
-        Instr::ARead { .. } | Instr::AWrite { .. } => c.istruct_op,
-        // Global access evaluates the Map/Local functions at run time.
-        Instr::AReadGlobal { .. } | Instr::AWriteGlobal { .. } => c.istruct_op + 2 * c.alu_op,
-        Instr::OwnerOf { .. } | Instr::LocalOf { .. } => 2 * c.alu_op,
-        Instr::BufRead { .. } | Instr::BufWrite { .. } => c.mem_op,
-        // Charged by the fabric.
-        Instr::Send { .. } | Instr::Recv { .. } | Instr::SendBuf { .. } | Instr::RecvBuf { .. } => {
-            0
+/// Cycles and instructions a slice has run up but not yet charged to
+/// the fabric.
+#[derive(Debug, Default)]
+struct Due {
+    cycles: u64,
+    ops: u64,
+}
+
+impl Due {
+    #[inline]
+    fn add(&mut self, cycles: u64) {
+        self.cycles += cycles;
+        self.ops += 1;
+    }
+
+    /// Charge everything due in one [`Fabric::tick_n`].
+    fn flush(&mut self, fabric: &mut dyn Fabric, me: ProcId) {
+        if self.ops > 0 {
+            fabric.tick_n(me, self.cycles, self.ops);
+            *self = Due::default();
         }
-        Instr::Fault(_) | Instr::Halt => 0,
     }
 }
 
@@ -530,13 +579,13 @@ pub(crate) fn scalar_binop(op: SBinOp, l: Scalar, r: Scalar) -> Result<Scalar, S
                         if b == 0 {
                             return Err("division by zero".into());
                         }
-                        a.div_euclid(b)
+                        a.checked_div_euclid(b).ok_or("integer overflow")?
                     }
                     Mod => {
                         if b == 0 {
                             return Err("division by zero".into());
                         }
-                        a.rem_euclid(b)
+                        a.checked_rem_euclid(b).ok_or("integer overflow")?
                     }
                     Min => a.min(b),
                     Max => a.max(b),
@@ -600,195 +649,273 @@ impl Process for ProcVm {
     }
 
     fn step(&mut self, machine: &mut dyn Fabric, me: ProcId) -> Result<Step, MachineError> {
-        let Some(instr) = self.code.instrs.get(self.pc).cloned() else {
-            return Ok(Step::Done);
-        };
-        let cost = instr_cost(&instr, machine.cost_model());
-        match instr {
-            Instr::Halt => return Ok(Step::Done),
-            Instr::Fault(msg) => return Err(self.fault(me, msg)),
-            Instr::PushInt(v) => self.stack.push(Scalar::Int(v)),
-            Instr::PushFloat(v) => self.stack.push(Scalar::Float(v)),
-            Instr::PushBool(v) => self.stack.push(Scalar::Bool(v)),
-            Instr::PushMyNode => self.stack.push(Scalar::Int(me.0 as i64)),
-            Instr::PushNProcs => self.stack.push(Scalar::Int(machine.n_procs() as i64)),
-            Instr::Load(slot) => {
-                let v = self.locals[slot as usize].ok_or_else(|| {
-                    self.fault(
-                        me,
-                        format!(
-                            "variable `{}` read before assignment",
-                            self.code.syms.vars[slot as usize]
-                        ),
-                    )
-                })?;
-                self.stack.push(v);
-            }
-            Instr::Store(slot) => {
-                let v = self.pop(me)?;
-                self.locals[slot as usize] = Some(v);
-            }
-            Instr::Bin(op) => {
-                let r = self.pop(me)?;
-                let l = self.pop(me)?;
-                let v = scalar_binop(op, l, r).map_err(|m| self.fault(me, m))?;
-                self.stack.push(v);
-            }
-            Instr::Un(op) => {
-                let v = self.pop(me)?;
-                let out = match (op, v) {
-                    (SUnOp::Neg, Scalar::Int(x)) => Scalar::Int(-x),
-                    (SUnOp::Neg, Scalar::Float(x)) => Scalar::Float(-x),
-                    (SUnOp::Not, Scalar::Bool(b)) => Scalar::Bool(!b),
-                    (op, v) => {
-                        return Err(
-                            self.fault(me, format!("cannot apply {op:?} to {}", v.type_name()))
+        self.run_slice(machine, me, 1).map(|(step, _)| step)
+    }
+
+    fn run_slice(
+        &mut self,
+        machine: &mut dyn Fabric,
+        me: ProcId,
+        max: u64,
+    ) -> Result<(Step, u64), MachineError> {
+        let mut due = Due::default();
+        let out = self.st.run(&self.code, machine, me, max, &mut due);
+        // Charged on every exit, a fault included, so a failed run leaves
+        // the clocks and op counts that single steps would have.
+        due.flush(machine, me);
+        out
+    }
+}
+
+impl State {
+    /// The interpreter loop. Runs local instructions back to back,
+    /// adding each one's cost under the machine's cost model to `due`,
+    /// until `max` steps are taken, the program halts or faults, or an
+    /// instruction needs the fabric; that one is executed after `due` is
+    /// flushed, and ends the slice. Returns the last step's outcome and
+    /// the number of steps taken (a halt or a blocked receive attempt is
+    /// a step, as it is for [`Process::step`]).
+    fn run(
+        &mut self,
+        code: &Code,
+        machine: &mut dyn Fabric,
+        me: ProcId,
+        max: u64,
+        due: &mut Due,
+    ) -> Result<(Step, u64), MachineError> {
+        let c = *machine.cost_model();
+        let nprocs = machine.n_procs();
+        let mut taken = 0;
+        while taken < max {
+            let Some(instr) = code.instrs.get(self.pc) else {
+                return Ok((Step::Done, taken + 1));
+            };
+            taken += 1;
+            let cost = match instr {
+                Instr::Halt => return Ok((Step::Done, taken)),
+                Instr::Fault(msg) => return Err(self.fault(me, msg.as_str())),
+                Instr::PushInt(v) => {
+                    self.stack.push(Scalar::Int(*v));
+                    0
+                }
+                Instr::PushFloat(v) => {
+                    self.stack.push(Scalar::Float(*v));
+                    0
+                }
+                Instr::PushBool(v) => {
+                    self.stack.push(Scalar::Bool(*v));
+                    0
+                }
+                Instr::PushMyNode => {
+                    self.stack.push(Scalar::Int(me.0 as i64));
+                    0
+                }
+                Instr::PushNProcs => {
+                    self.stack.push(Scalar::Int(nprocs as i64));
+                    0
+                }
+                Instr::Load(slot) => {
+                    let v = self.locals[*slot as usize].ok_or_else(|| {
+                        self.fault(
+                            me,
+                            format!(
+                                "variable `{}` read before assignment",
+                                code.syms.vars[*slot as usize]
+                            ),
                         )
+                    })?;
+                    self.stack.push(v);
+                    c.mem_op
+                }
+                Instr::Store(slot) => {
+                    let v = self.pop(me)?;
+                    self.locals[*slot as usize] = Some(v);
+                    c.mem_op
+                }
+                Instr::Bin(op) => {
+                    let r = self.pop(me)?;
+                    let l = self.pop(me)?;
+                    let v = scalar_binop(*op, l, r).map_err(|m| self.fault(me, m))?;
+                    self.stack.push(v);
+                    c.alu_op
+                }
+                Instr::Un(op) => {
+                    let v = self.pop(me)?;
+                    let out = match (*op, v) {
+                        (SUnOp::Neg, Scalar::Int(x)) => Scalar::Int(
+                            x.checked_neg()
+                                .ok_or_else(|| self.fault(me, "integer overflow"))?,
+                        ),
+                        (SUnOp::Neg, Scalar::Float(x)) => Scalar::Float(-x),
+                        (SUnOp::Not, Scalar::Bool(b)) => Scalar::Bool(!b),
+                        (op, v) => {
+                            return Err(
+                                self.fault(me, format!("cannot apply {op:?} to {}", v.type_name()))
+                            )
+                        }
+                    };
+                    self.stack.push(out);
+                    c.alu_op
+                }
+                Instr::Jump(t) => {
+                    self.pc = *t;
+                    due.add(0);
+                    continue;
+                }
+                Instr::JumpIfFalse(t) => {
+                    let v = self.pop(me)?;
+                    let b = v
+                        .as_bool()
+                        .ok_or_else(|| self.fault(me, "branch on non-boolean"))?;
+                    self.pc = if b { self.pc + 1 } else { *t };
+                    due.add(c.loop_overhead);
+                    continue;
+                }
+                Instr::ARead { arr, nd } => {
+                    let (li, lj) = self.pop_indices(me, *nd)?;
+                    let a = self.array_at(&code.syms, me, *arr)?;
+                    let v = a
+                        .local
+                        .read(li, lj)
+                        .copied()
+                        .map_err(|e| data_fault(me, e))?;
+                    self.stack.push(v);
+                    c.istruct_op
+                }
+                Instr::AWrite { arr, nd } => {
+                    let v = self.pop(me)?;
+                    let (li, lj) = self.pop_indices(me, *nd)?;
+                    let a = self.array_at(&code.syms, me, *arr)?;
+                    a.local.write(li, lj, v).map_err(|e| data_fault(me, e))?;
+                    c.istruct_op
+                }
+                // Global access evaluates the Map/Local functions at run
+                // time.
+                Instr::AReadGlobal { arr, nd } => {
+                    let (i, j) = self.pop_indices(me, *nd)?;
+                    let a = self.array_at(&code.syms, me, *arr)?;
+                    if !a.inst.owner(i, j).contains(me.0) {
+                        return Err(non_owner(me, "read", i, j));
                     }
-                };
-                self.stack.push(out);
-            }
-            Instr::Jump(t) => {
-                self.pc = t;
-                machine.tick(me, cost);
-                return Ok(Step::Ran);
-            }
-            Instr::JumpIfFalse(t) => {
-                let v = self.pop(me)?;
-                let b = v
-                    .as_bool()
-                    .ok_or_else(|| self.fault(me, "branch on non-boolean"))?;
-                machine.tick(me, cost);
-                self.pc = if b { self.pc + 1 } else { t };
-                return Ok(Step::Ran);
-            }
+                    let (li, lj) = a.inst.local(i, j);
+                    let v = a
+                        .local
+                        .read(li, lj)
+                        .copied()
+                        .map_err(|e| data_fault(me, e))?;
+                    self.stack.push(v);
+                    c.istruct_op + 2 * c.alu_op
+                }
+                Instr::AWriteGlobal { arr, nd } => {
+                    let v = self.pop(me)?;
+                    let (i, j) = self.pop_indices(me, *nd)?;
+                    let a = self.array_at(&code.syms, me, *arr)?;
+                    if !a.inst.owner(i, j).contains(me.0) {
+                        return Err(non_owner(me, "write", i, j));
+                    }
+                    let (li, lj) = a.inst.local(i, j);
+                    a.local.write(li, lj, v).map_err(|e| data_fault(me, e))?;
+                    c.istruct_op + 2 * c.alu_op
+                }
+                Instr::OwnerOf { arr, nd } => {
+                    let (i, j) = self.pop_indices(me, *nd)?;
+                    let a = self.array_at(&code.syms, me, *arr)?;
+                    let owner = match a.inst.owner(i, j) {
+                        OwnerSet::One(p) => p as i64,
+                        // Replicated data is owned locally for coercion
+                        // purposes: reading it never needs a message.
+                        OwnerSet::All => me.0 as i64,
+                    };
+                    self.stack.push(Scalar::Int(owner));
+                    2 * c.alu_op
+                }
+                Instr::LocalOf { arr, nd, dim } => {
+                    let (i, j) = self.pop_indices(me, *nd)?;
+                    let a = self.array_at(&code.syms, me, *arr)?;
+                    let (li, lj) = a.inst.local(i, j);
+                    self.stack
+                        .push(Scalar::Int(if *dim == 0 { li } else { lj }));
+                    2 * c.alu_op
+                }
+                Instr::BufRead { buf } => {
+                    let idx = self.pop_int(me)?;
+                    let b = self.buf_at(&code.syms, me, *buf)?;
+                    let v = *usize::try_from(idx)
+                        .ok()
+                        .and_then(|i| b.get(i))
+                        .ok_or_else(|| buf_index_fault(me, idx, b.len()))?;
+                    self.stack.push(v);
+                    c.mem_op
+                }
+                Instr::BufWrite { buf } => {
+                    let idx = self.pop_int(me)?;
+                    let v = self.pop(me)?;
+                    let b = self.buf_at(&code.syms, me, *buf)?;
+                    let len = b.len();
+                    let cell = usize::try_from(idx)
+                        .ok()
+                        .and_then(|i| b.get_mut(i))
+                        .ok_or_else(|| buf_index_fault(me, idx, len))?;
+                    *cell = v;
+                    c.mem_op
+                }
+                Instr::AllocDist { .. }
+                | Instr::AllocBuf { .. }
+                | Instr::Send { .. }
+                | Instr::Recv { .. }
+                | Instr::SendBuf { .. }
+                | Instr::RecvBuf { .. } => {
+                    due.flush(machine, me);
+                    return Ok((self.boundary(code, instr, machine, me, due)?, taken));
+                }
+            };
+            due.add(cost);
+            self.pc += 1;
+        }
+        Ok((Step::Ran, taken))
+    }
+
+    /// Execute one of the instructions that end a slice: an allocation,
+    /// charged `mem_op`, or a send or receive, which the fabric charges
+    /// itself. On success the instruction is added to `due` and the pc
+    /// advances; a blocked receive changes nothing, so it can be retried
+    /// verbatim.
+    fn boundary(
+        &mut self,
+        code: &Code,
+        instr: &Instr,
+        machine: &mut dyn Fabric,
+        me: ProcId,
+        due: &mut Due,
+    ) -> Result<Step, MachineError> {
+        let nprocs = machine.n_procs();
+        let cost = match instr {
             Instr::AllocDist { arr, dist } => {
                 let cols = self.pop_int(me)?;
                 let rows = self.pop_int(me)?;
                 if rows < 0 || cols < 0 {
                     return Err(self.fault(me, "negative array extent"));
                 }
-                self.arrays[arr as usize] = Some(DistArray::alloc(
-                    dist,
+                self.arrays[*arr as usize] = Some(DistArray::alloc(
+                    dist.clone(),
                     rows as usize,
                     cols as usize,
-                    machine.n_procs(),
+                    nprocs,
                 ));
+                machine.cost_model().mem_op
             }
             Instr::AllocBuf { buf } => {
                 let len = self.pop_int(me)?;
                 if len < 0 {
                     return Err(self.fault(me, "negative buffer length"));
                 }
-                self.bufs[buf as usize] = Some(vec![Scalar::Int(0); len as usize]);
-            }
-            Instr::ARead { arr, nd } => {
-                let (li, lj) = self.pop_indices(me, nd)?;
-                let a = self.array_at(me, arr)?;
-                let v = a
-                    .local
-                    .read(li, lj)
-                    .copied()
-                    .map_err(|e| MachineError::ProcessFault {
-                        proc: me,
-                        message: e.to_string(),
-                    })?;
-                self.stack.push(v);
-            }
-            Instr::AWrite { arr, nd } => {
-                let v = self.pop(me)?;
-                let (li, lj) = self.pop_indices(me, nd)?;
-                let a = self.array_at(me, arr)?;
-                a.local
-                    .write(li, lj, v)
-                    .map_err(|e| MachineError::ProcessFault {
-                        proc: me,
-                        message: e.to_string(),
-                    })?;
-            }
-            Instr::AReadGlobal { arr, nd } => {
-                let (i, j) = self.pop_indices(me, nd)?;
-                let a = self.array_at(me, arr)?;
-                if !a.inst.owner(i, j).contains(me.0) {
-                    return Err(MachineError::ProcessFault {
-                        proc: me,
-                        message: format!("global read of ({i},{j}) on non-owner {me}"),
-                    });
-                }
-                let (li, lj) = a.inst.local(i, j);
-                let v = a
-                    .local
-                    .read(li, lj)
-                    .copied()
-                    .map_err(|e| MachineError::ProcessFault {
-                        proc: me,
-                        message: e.to_string(),
-                    })?;
-                self.stack.push(v);
-            }
-            Instr::AWriteGlobal { arr, nd } => {
-                let v = self.pop(me)?;
-                let (i, j) = self.pop_indices(me, nd)?;
-                let a = self.array_at(me, arr)?;
-                if !a.inst.owner(i, j).contains(me.0) {
-                    return Err(MachineError::ProcessFault {
-                        proc: me,
-                        message: format!("global write of ({i},{j}) on non-owner {me}"),
-                    });
-                }
-                let (li, lj) = a.inst.local(i, j);
-                a.local
-                    .write(li, lj, v)
-                    .map_err(|e| MachineError::ProcessFault {
-                        proc: me,
-                        message: e.to_string(),
-                    })?;
-            }
-            Instr::OwnerOf { arr, nd } => {
-                let (i, j) = self.pop_indices(me, nd)?;
-                let a = self.array_at(me, arr)?;
-                let owner = match a.inst.owner(i, j) {
-                    OwnerSet::One(p) => p as i64,
-                    // Replicated data is owned locally for coercion
-                    // purposes: reading it never needs a message.
-                    OwnerSet::All => me.0 as i64,
-                };
-                self.stack.push(Scalar::Int(owner));
-            }
-            Instr::LocalOf { arr, nd, dim } => {
-                let (i, j) = self.pop_indices(me, nd)?;
-                let a = self.array_at(me, arr)?;
-                let (li, lj) = a.inst.local(i, j);
-                self.stack.push(Scalar::Int(if dim == 0 { li } else { lj }));
-            }
-            Instr::BufRead { buf } => {
-                let idx = self.pop_int(me)?;
-                let b = self.buf_at(me, buf)?;
-                let v = *b
-                    .get(idx.max(0) as usize)
-                    .ok_or_else(|| MachineError::ProcessFault {
-                        proc: me,
-                        message: format!("buffer index {idx} out of bounds ({})", b.len()),
-                    })?;
-                self.stack.push(v);
-            }
-            Instr::BufWrite { buf } => {
-                let idx = self.pop_int(me)?;
-                let v = self.pop(me)?;
-                let b = self.buf_at(me, buf)?;
-                let len = b.len();
-                let cell =
-                    b.get_mut(idx.max(0) as usize)
-                        .ok_or_else(|| MachineError::ProcessFault {
-                            proc: me,
-                            message: format!("buffer index {idx} out of bounds ({len})"),
-                        })?;
-                *cell = v;
+                self.bufs[*buf as usize] = Some(vec![Scalar::Int(0); len as usize]);
+                machine.cost_model().mem_op
             }
             Instr::Send { tag, n } => {
                 let mut vals = std::mem::take(&mut self.msg_vals);
                 vals.clear();
-                for _ in 0..n {
+                for _ in 0..*n {
                     vals.push(self.pop(me)?);
                 }
                 vals.reverse();
@@ -796,7 +923,7 @@ impl Process for ProcVm {
                 if dst == me.0 as i64 {
                     return Err(self.fault(me, "send to self (coerce must be a local read)"));
                 }
-                if dst < 0 || dst as usize >= machine.n_procs() {
+                if dst < 0 || dst as usize >= nprocs {
                     return Err(self.fault(me, format!("send to invalid processor {dst}")));
                 }
                 let mut wire = std::mem::take(&mut self.wire);
@@ -804,9 +931,10 @@ impl Process for ProcVm {
                 let cap = wire.capacity();
                 encode_into(&vals, &mut wire);
                 note_scratch(machine, me, wire.capacity() > cap);
-                machine.send_ref(me, ProcId(dst as usize), Tag(tag), &wire);
+                machine.send_ref(me, ProcId(dst as usize), Tag(*tag), &wire);
                 self.msg_vals = vals;
                 self.wire = wire;
+                0
             }
             Instr::Recv { tag, n } => {
                 // Peek (do not pop) the source so a blocked receive can
@@ -817,14 +945,17 @@ impl Process for ProcVm {
                 let src = src_v
                     .as_int()
                     .ok_or_else(|| self.fault(me, "receive source must be an int"))?;
-                if src < 0 || src as usize >= machine.n_procs() {
+                if src < 0 || src as usize >= nprocs {
                     return Err(self.fault(me, format!("receive from invalid processor {src}")));
                 }
                 let src = ProcId(src as usize);
                 let mut words = std::mem::take(&mut self.wire);
-                if !machine.try_recv_into(me, src, Tag(tag), &mut words) {
+                if !machine.try_recv_into(me, src, Tag(*tag), &mut words) {
                     self.wire = words;
-                    return Ok(Step::BlockedOnRecv { src, tag: Tag(tag) });
+                    return Ok(Step::BlockedOnRecv {
+                        src,
+                        tag: Tag(*tag),
+                    });
                 }
                 self.stack.pop(); // consume the source
                 let mut vals = std::mem::take(&mut self.recv_vals);
@@ -834,7 +965,7 @@ impl Process for ProcVm {
                     return Err(self.fault(me, "malformed message payload"));
                 }
                 note_scratch(machine, me, vals.capacity() > cap);
-                if vals.len() != n as usize {
+                if vals.len() != *n as usize {
                     return Err(self.fault(
                         me,
                         format!("expected {n} value(s), message has {}", vals.len()),
@@ -843,6 +974,7 @@ impl Process for ProcVm {
                 self.stack.extend(vals.iter().copied());
                 self.recv_vals = vals;
                 self.wire = words;
+                0
             }
             Instr::SendBuf { tag, buf } => {
                 let hi = self.pop_int(me)?;
@@ -851,7 +983,7 @@ impl Process for ProcVm {
                 if dst == me.0 as i64 {
                     return Err(self.fault(me, "send to self (coerce must be a local read)"));
                 }
-                if dst < 0 || dst as usize >= machine.n_procs() {
+                if dst < 0 || dst as usize >= nprocs {
                     return Err(self.fault(me, format!("send to invalid processor {dst}")));
                 }
                 if lo < 0 || hi < lo {
@@ -859,7 +991,7 @@ impl Process for ProcVm {
                 }
                 let mut wire = std::mem::take(&mut self.wire);
                 wire.clear();
-                let b = self.buf_at(me, buf)?;
+                let b = self.buf_at(&code.syms, me, *buf)?;
                 if hi as usize >= b.len() {
                     return Err(MachineError::ProcessFault {
                         proc: me,
@@ -869,8 +1001,9 @@ impl Process for ProcVm {
                 let cap = wire.capacity();
                 encode_into(&b[lo as usize..=hi as usize], &mut wire);
                 note_scratch(machine, me, wire.capacity() > cap);
-                machine.send_ref(me, ProcId(dst as usize), Tag(tag), &wire);
+                machine.send_ref(me, ProcId(dst as usize), Tag(*tag), &wire);
                 self.wire = wire;
+                0
             }
             Instr::RecvBuf { tag, buf } => {
                 let len = self.stack.len();
@@ -880,14 +1013,17 @@ impl Process for ProcVm {
                 let src = self.stack[len - 3]
                     .as_int()
                     .ok_or_else(|| self.fault(me, "receive source must be an int"))?;
-                if src < 0 || src as usize >= machine.n_procs() {
+                if src < 0 || src as usize >= nprocs {
                     return Err(self.fault(me, format!("receive from invalid processor {src}")));
                 }
                 let src = ProcId(src as usize);
                 let mut words = std::mem::take(&mut self.wire);
-                if !machine.try_recv_into(me, src, Tag(tag), &mut words) {
+                if !machine.try_recv_into(me, src, Tag(*tag), &mut words) {
                     self.wire = words;
-                    return Ok(Step::BlockedOnRecv { src, tag: Tag(tag) });
+                    return Ok(Step::BlockedOnRecv {
+                        src,
+                        tag: Tag(*tag),
+                    });
                 }
                 let hi = self.pop_int(me)?;
                 let lo = self.pop_int(me)?;
@@ -909,7 +1045,7 @@ impl Process for ProcVm {
                         format!("expected {want} value(s), message has {}", vals.len()),
                     ));
                 }
-                let b = self.buf_at(me, buf)?;
+                let b = self.buf_at(&code.syms, me, *buf)?;
                 if hi as usize >= b.len() {
                     return Err(MachineError::ProcessFault {
                         proc: me,
@@ -919,9 +1055,11 @@ impl Process for ProcVm {
                 b[lo as usize..=hi as usize].copy_from_slice(&vals);
                 self.recv_vals = vals;
                 self.wire = words;
+                0
             }
-        }
-        machine.tick(me, cost);
+            _ => unreachable!("{instr:?} does not end a slice"),
+        };
+        due.add(cost);
         self.pc += 1;
         Ok(Step::Ran)
     }
@@ -1153,6 +1291,72 @@ mod tests {
                 msg.contains("buffer `B` used before allocation"),
                 "got: {msg}"
             );
+        }
+    }
+
+    fn buf4() -> SStmt {
+        SStmt::AllocBuf {
+            buf: "b".into(),
+            len: SExpr::int(4),
+        }
+    }
+
+    #[test]
+    fn negative_buffer_read_faults_instead_of_reading_element_zero() {
+        let msg = fault_of(
+            &[
+                buf4(),
+                SStmt::Let {
+                    var: "x".into(),
+                    value: SExpr::BufRead {
+                        buf: "b".into(),
+                        idx: Box::new(SExpr::int(-1)),
+                    },
+                },
+            ],
+            1,
+        );
+        assert!(
+            msg.contains("buffer index -1 out of bounds (4)"),
+            "got: {msg}"
+        );
+    }
+
+    #[test]
+    fn negative_buffer_write_faults_instead_of_writing_element_zero() {
+        let msg = fault_of(
+            &[
+                buf4(),
+                SStmt::BufWrite {
+                    buf: "b".into(),
+                    idx: SExpr::int(-1),
+                    value: SExpr::int(9),
+                },
+            ],
+            1,
+        );
+        assert!(
+            msg.contains("buffer index -1 out of bounds (4)"),
+            "got: {msg}"
+        );
+    }
+
+    #[test]
+    fn min_int_overflow_is_a_fault_not_a_panic() {
+        let min = || SExpr::int(i64::MIN);
+        for value in [
+            min().idiv(SExpr::int(-1)),
+            min().imod(SExpr::int(-1)),
+            SExpr::Un(SUnOp::Neg, Box::new(min())),
+        ] {
+            let msg = fault_of(
+                &[SStmt::Let {
+                    var: "x".into(),
+                    value: value.clone(),
+                }],
+                1,
+            );
+            assert!(msg.contains("integer overflow"), "{value:?}: got {msg}");
         }
     }
 
